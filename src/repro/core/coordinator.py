@@ -28,6 +28,7 @@ from repro.core.dispatch import NoServerAvailable, RequestDistributor
 from repro.core.errors import (
     AdmissionDenied,
     ConfigurationError,
+    PriceCheckFailed,
     RequestRejected,
     RetryBudgetExhausted,
     RetryExhausted,
@@ -202,8 +203,10 @@ class Coordinator:
         """Steps 1–2 of the distribution protocol.
 
         Raises :class:`RequestRejected` for non-whitelisted domains or
-        PII-blacklisted URLs.  Returns the ticket plus the PPC list that
-        is forwarded to the selected Measurement server.
+        PII-blacklisted URLs, and :class:`PriceCheckFailed` (the job
+        recorded failed) when no Measurement server is online.  Returns
+        the ticket plus the PPC list that is forwarded to the selected
+        Measurement server.
         """
         self.chaos_tick()
         domain, path = parse_url(url)
@@ -212,7 +215,17 @@ class Coordinator:
             self._m_rejected.inc()
             raise RequestRejected(url, reason)
         job_id = f"job-{next(self._job_seq)}"
-        server = self.distributor.assign_job(job_id)
+        try:
+            server = self.distributor.assign_job(job_id)
+        except NoServerAvailable as exc:
+            # every server is offline: the job is reported failed, as a
+            # reassignment does under the same condition
+            self.jobs[job_id] = JobRecord(
+                job_id=job_id, peer_id=peer_id, url=url, domain=domain,
+                server_name="", attempts=0, started_at=self.clock.now,
+            )
+            self.fail_job(job_id, str(exc))
+            raise PriceCheckFailed(job_id, str(exc)) from exc
         self.jobs[job_id] = JobRecord(
             job_id=job_id, peer_id=peer_id, url=url, domain=domain,
             server_name=server.name, started_at=self.clock.now,
@@ -393,7 +406,8 @@ class Coordinator:
             return
         record.failed = True
         record.failure_reason = reason
-        self.distributor.fail_job(job_id)
+        if record.attempts:  # it holds a server's pending slot
+            self.distributor.fail_job(job_id)
         self.journey_spans.pop(job_id, None)
         self.jobs_failed += 1
         self._m_recovery.inc(event="job_failed")

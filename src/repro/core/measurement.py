@@ -523,7 +523,10 @@ class MeasurementServer:
             "price_check", trace_id=job.job_id, job_id=job.job_id,
             url=job.url, server=self.name, transport=self.transport_label,
         ):
-            return self._execute_fanout(job, tr)
+            try:
+                return self._execute_fanout(job, tr)
+            finally:
+                self.diffstore.release_index(job.job_id)
 
     def _fetch_span(
         self, tr, duration: float, vantage: str, proxy_id: str,

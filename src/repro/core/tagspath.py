@@ -21,13 +21,17 @@ Two result-identical implementations coexist:
 * the **legacy** path (``use_fast_extract=False``) re-flattens the
   document per candidate and runs the full LCS DP — the executable
   reference the property tests compare against;
-* the **fast** path builds an :class:`ExtractionIndex` in the same
-  single pass as the parse (signature → candidates plus a closing-event
-  position index, so each candidate's bottom-up path is a slice), prunes
-  candidates whose shared suffix already cannot win, strips the common
-  prefix/suffix before any DP, and memoizes whole
-  ``(html, path) → text`` extractions so identical pages fetched from
-  different vantages parse and match once.
+* the **fast** path never re-walks the document: it records the
+  signature of every closing event and, per candidate, the span of
+  closing-event positions its open and close tags fall at, so each
+  candidate's bottom-up path is two slices.  It prunes candidates whose
+  shared suffix already cannot win and strips the common prefix/suffix
+  before any DP (:func:`_best_candidate`, shared by both fast entry
+  points).  On a fetched page :func:`extract_price_text` records all
+  of this straight from the :func:`repro.web.html.scan` events, without
+  building an element tree, and collects text only inside candidates;
+  it also memoizes whole ``(html, path) → text`` extractions so
+  identical pages fetched from different vantages are scanned once.
 """
 
 from __future__ import annotations
@@ -37,12 +41,16 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.web.html import (
+    OPEN,
+    TEXT,
+    VOID_TAGS,
     Element,
     HTMLParseError,
-    ParseObserver,
-    VOID_TAGS,
     iter_elements,
     parse,
+    parse_attrs,
+    scan,
+    signature,
 )
 
 #: cap on recorded path length; pages deeper than this keep both ends —
@@ -86,7 +94,10 @@ class ExtractionStats:
     zero-cost-when-disabled property.
     """
 
-    __slots__ = ("pages_parsed", "memo_hits", "candidates_pruned", "lcs_cells")
+    __slots__ = (
+        "pages_parsed", "memo_hits", "candidates_pruned", "lcs_cells",
+        "parse_errors",
+    )
 
     def __init__(self) -> None:
         self.reset()
@@ -96,14 +107,11 @@ class ExtractionStats:
         self.memo_hits = 0
         self.candidates_pruned = 0
         self.lcs_cells = 0
+        #: scanned pages that were not well-formed (extracted as None)
+        self.parse_errors = 0
 
     def snapshot(self) -> Dict[str, int]:
-        return {
-            "pages_parsed": self.pages_parsed,
-            "memo_hits": self.memo_hits,
-            "candidates_pruned": self.candidates_pruned,
-            "lcs_cells": self.lcs_cells,
-        }
+        return {name: getattr(self, name) for name in self.__slots__}
 
 
 #: module-wide stats for the fast path (the extractor is a pure function
@@ -114,11 +122,12 @@ _m_pages = None
 _m_memo_hits = None
 _m_pruned = None
 _m_lcs_cells = None
+_m_parse_errors = None
 
 
 def bind_extraction_telemetry(telemetry) -> None:
     """Register the ``sheriff_extract_*`` counters on a telemetry bundle."""
-    global _m_pages, _m_memo_hits, _m_pruned, _m_lcs_cells
+    global _m_pages, _m_memo_hits, _m_pruned, _m_lcs_cells, _m_parse_errors
     registry = telemetry.registry
     _m_pages = registry.counter(
         "sheriff_extract_pages_parsed_total",
@@ -136,12 +145,16 @@ def bind_extraction_telemetry(telemetry) -> None:
         "sheriff_extract_lcs_cells_total",
         "LCS DP cells evaluated after prefix/suffix stripping",
     )
+    _m_parse_errors = registry.counter(
+        "sheriff_extract_parse_errors_total",
+        "Fetched pages the fast extraction path could not parse",
+    )
 
 
 def unbind_extraction_telemetry() -> None:
     """Drop the registry mirrors (used when a sheriff shuts down)."""
-    global _m_pages, _m_memo_hits, _m_pruned, _m_lcs_cells
-    _m_pages = _m_memo_hits = _m_pruned = _m_lcs_cells = None
+    global _m_pages, _m_memo_hits, _m_pruned, _m_lcs_cells, _m_parse_errors
+    _m_pages = _m_memo_hits = _m_pruned = _m_lcs_cells = _m_parse_errors = None
 
 
 # ---------------------------------------------------------------------------
@@ -274,22 +287,80 @@ def _lcs_length_stripped(
 
 
 # ---------------------------------------------------------------------------
-# the single-pass extraction index
+# the fast path: closing-event spans + shared candidate scoring
+#
+# A document's closing events, in order, give ``close_sigs`` (each
+# closing element's signature).  An element's *span* is ``(start, own)``:
+# ``start`` is how many closes preceded its open tag and ``own`` the
+# position of its own close (``None`` for void tags).  Its bottom-up Tags
+# Path is then the closes after its own, then the closes between its
+# open and its own, each reversed — O(path length) instead of the legacy
+# O(document) re-flatten per candidate.
+
+_Span = Tuple[int, Optional[int]]
 
 
-class ExtractionIndex(ParseObserver):
-    """Per-document index built in one DOM walk (or during the parse).
+def _span_path(close_sigs: List[str], span: _Span) -> Tuple[str, ...]:
+    """An element's bottom-up closing-tag path, from its span."""
+    start, own = span
+    if own is None:
+        closings = close_sigs[start:]
+        closings.reverse()
+    else:
+        closings = close_sigs[own + 1:]
+        closings.reverse()
+        between = close_sigs[start:own]
+        between.reverse()
+        closings.extend(between)
+    return tuple(_truncate(closings))
 
-    Records, in document order, the signature of every closing event
-    (``close_sigs``) and, per element, the closing-event position span
-    ``(start, own)`` — ``start`` is how many closes preceded its open
-    tag, ``own`` the position of its own close (``None`` for void
-    tags).  A candidate's bottom-up Tags Path is then two list slices
-    (the closes after its own, then the closes between its open and its
-    own, both reversed) — O(path length) instead of the legacy
-    O(document) re-flatten per candidate.  ``by_signature`` maps each
-    signature to its elements in document (pre-)order, preserving the
-    legacy first-best tie-break.
+
+def _best_candidate(
+    path: TagsPath, close_sigs: List[str], spans: List[_Span]
+) -> Optional[int]:
+    """Index of the best-scoring candidate span (document-order ties win).
+
+    ``spans`` are the target-signature candidates in document
+    (pre-)order.  The score is the legacy :func:`_similarity`, with two
+    result-preserving shortcuts: a candidate whose shared suffix cannot
+    reach the incumbent is skipped, and the LCS runs only on the middles
+    left after stripping the shared suffix and prefix.
+    """
+    if not spans:
+        return None
+    if len(spans) == 1:
+        return 0
+    recorded = path.entries
+    best: Optional[int] = None
+    best_score = -1.0
+    for i, span in enumerate(spans):
+        candidate_path = _span_path(close_sigs, span)
+        suffix = _common_suffix(recorded, candidate_path)
+        # The normalized LCS term is at most 1.0, so a candidate whose
+        # shared suffix cannot reach the incumbent strictly loses — and,
+        # with candidates visited in document order, skipping it cannot
+        # change the legacy tie-break either.
+        if suffix + 1.0 <= best_score:
+            EXTRACTION_STATS.candidates_pruned += 1
+            if _m_pruned is not None:
+                _m_pruned.inc()
+            continue
+        longest = max(len(recorded), len(candidate_path))
+        if longest == 0:
+            score = 1.0
+        else:
+            lcs = _lcs_length_stripped(recorded, candidate_path, suffix)
+            score = suffix + lcs / longest
+        if score > best_score:
+            best, best_score = i, score
+    return best
+
+
+class ExtractionIndex:
+    """Closing-event spans of a parsed tree, built in one DOM walk.
+
+    ``by_signature`` maps each signature to its elements in document
+    (pre-)order, preserving the legacy first-best tie-break.
     """
 
     __slots__ = ("close_sigs", "by_signature", "_spans")
@@ -297,29 +368,28 @@ class ExtractionIndex(ParseObserver):
     def __init__(self) -> None:
         self.close_sigs: List[str] = []
         self.by_signature: Dict[str, List[Element]] = {}
-        self._spans: Dict[int, Tuple[int, Optional[int]]] = {}
+        self._spans: Dict[int, _Span] = {}
 
-    # -- construction (ParseObserver protocol) --------------------------
-    def enter(self, element: Element) -> None:
+    def _enter(self, element: Element) -> None:
         self.by_signature.setdefault(element.signature(), []).append(element)
         self._spans[id(element)] = (len(self.close_sigs), None)
 
-    def exit(self, element: Element) -> None:
+    def _exit(self, element: Element) -> None:
         key = id(element)
         self._spans[key] = (self._spans[key][0], len(self.close_sigs))
         self.close_sigs.append(element.signature())
 
     @classmethod
     def from_root(cls, root: Element) -> "ExtractionIndex":
-        """Build the index from an already-parsed tree in one walk."""
+        """Build the index from a parsed tree in one walk."""
         index = cls()
         stack: List[Tuple[Element, bool]] = [(root, False)]
         while stack:
             element, closing = stack.pop()
             if closing:
-                index.exit(element)
+                index._exit(element)
                 continue
-            index.enter(element)
+            index._enter(element)
             if element.tag not in VOID_TAGS:
                 stack.append((element, True))
             for child in reversed(element.children):
@@ -333,50 +403,70 @@ class ExtractionIndex(ParseObserver):
         span = self._spans.get(id(element))
         if span is None:
             raise TagsPathError("selected element is not part of the document")
-        start, own = span
-        sigs = self.close_sigs
-        if own is None:
-            closings = sigs[start:]
-            closings.reverse()
-        else:
-            closings = sigs[own + 1:]
-            closings.reverse()
-            between = sigs[start:own]
-            between.reverse()
-            closings.extend(between)
-        return tuple(_truncate(closings))
+        return _span_path(self.close_sigs, span)
 
     def extract(self, path: TagsPath) -> Optional[Element]:
         """Best-scoring candidate for the path (document-order ties win)."""
-        candidates = self.by_signature.get(path.target)
-        if not candidates:
-            return None
-        if len(candidates) == 1:
-            return candidates[0]
-        recorded = path.entries
-        best: Optional[Element] = None
-        best_score = -1.0
-        for candidate in candidates:
-            candidate_path = self.path_for(candidate)
-            suffix = _common_suffix(recorded, candidate_path)
-            # The normalized LCS term is at most 1.0, so a candidate
-            # whose shared suffix cannot reach the incumbent strictly
-            # loses — and, with candidates visited in document order,
-            # skipping it cannot change the legacy tie-break either.
-            if suffix + 1.0 <= best_score:
-                EXTRACTION_STATS.candidates_pruned += 1
-                if _m_pruned is not None:
-                    _m_pruned.inc()
-                continue
-            longest = max(len(recorded), len(candidate_path))
-            if longest == 0:
-                score = 1.0
-            else:
-                lcs = _lcs_length_stripped(recorded, candidate_path, suffix)
-                score = suffix + lcs / longest
-            if score > best_score:
-                best, best_score = candidate, score
-        return best
+        candidates = self.by_signature.get(path.target, [])
+        best = _best_candidate(
+            path, self.close_sigs, [self._spans[id(c)] for c in candidates]
+        )
+        return None if best is None else candidates[best]
+
+
+def _event_signature(tag: str, attr_text: str) -> str:
+    """The signature of an OPEN event's element, without the Element."""
+    if "class" not in attr_text:
+        return tag
+    return signature(tag, parse_attrs(attr_text).get("class", ""))
+
+
+def _scan_extract(html: str, path: TagsPath) -> Optional[str]:
+    """The fast path on page text: scan events in, price text out.
+
+    Builds no tree.  Every closing event contributes its signature;
+    elements whose signature is the path's target become candidates,
+    with their span and the range of the text lines inside them (text
+    is kept only while a candidate is open).  Raises
+    :class:`HTMLParseError` on a malformed page.
+    """
+    target = path.target
+    close_sigs: List[str] = []
+    # per open non-void element: its signature and, for a candidate,
+    # its index in ``candidates``
+    open_stack: List[Tuple[str, int]] = []
+    # per candidate: [start, own, first text line, end of text lines]
+    candidates: List[list] = []
+    texts: List[str] = []
+    open_candidates = 0
+    for kind, value, attr_text in scan(html):
+        if kind == TEXT:
+            if open_candidates:
+                texts.append(value)
+        elif kind == OPEN:
+            sig = _event_signature(value, attr_text) if attr_text else value
+            slot = -1
+            if sig == target:
+                slot = len(candidates)
+                n = len(texts)
+                candidates.append([len(close_sigs), None, n, n])
+            if value not in VOID_TAGS:
+                open_stack.append((sig, slot))
+                if slot >= 0:
+                    open_candidates += 1
+        else:
+            sig, slot = open_stack.pop()
+            if slot >= 0:
+                record = candidates[slot]
+                record[1] = len(close_sigs)
+                record[3] = len(texts)
+                open_candidates -= 1
+            close_sigs.append(sig)
+    best = _best_candidate(path, close_sigs, [(c[0], c[1]) for c in candidates])
+    if best is None:
+        return None
+    _, _, first, end = candidates[best]
+    return " ".join(texts[first:end]) or None
 
 
 # ---------------------------------------------------------------------------
@@ -427,10 +517,11 @@ def extract_price_text(
 ) -> Optional[str]:
     """Parse a fetched page and pull out the price string, if locatable.
 
-    The fast path memoizes whole extractions keyed by the exact page
-    text and path: vantages that saw an identical page (the common case
-    — only a minority of checks actually differ) cost one dict probe
-    instead of a parse + match.
+    The fast path scans the page without building a tree and memoizes
+    whole extractions keyed by the exact page text and path: vantages
+    that saw an identical page cost one dict probe instead of a scan +
+    match.  A malformed page extracts as ``None`` (and is counted in
+    ``EXTRACTION_STATS.parse_errors``).
     """
     if use_fast_extract:
         cached = _extraction_memo.get((html, path), _MEMO_MISS)
@@ -440,22 +531,16 @@ def extract_price_text(
             if _m_memo_hits is not None:
                 _m_memo_hits.inc()
             return cached
-        index = ExtractionIndex()
-        try:
-            parse(html, observer=index)
-        except HTMLParseError:
-            index = None
         EXTRACTION_STATS.pages_parsed += 1
         if _m_pages is not None:
             _m_pages.inc()
-        if index is None:
+        try:
+            text = _scan_extract(html, path)
+        except HTMLParseError:
             text = None
-        else:
-            element = index.extract(path)
-            if element is None:
-                text = None
-            else:
-                text = element.text().strip() or None
+            EXTRACTION_STATS.parse_errors += 1
+            if _m_parse_errors is not None:
+                _m_parse_errors.inc()
         _extraction_memo[(html, path)] = text
         if len(_extraction_memo) > EXTRACTION_MEMO_MAX:
             _extraction_memo.popitem(last=False)

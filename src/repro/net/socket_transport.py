@@ -231,6 +231,9 @@ class SocketTransport(Transport):
         if not self._loop.is_running() and not self._loop.is_closed():
             self._loop.close()
 
+    #: seconds in-flight handlers get to finish when the transport closes
+    _CLOSE_GRACE = 2.0
+
     async def _close_async(self) -> None:
         for ep in self._endpoints.values():
             await self._stop_server(ep, abort_conns=True)
@@ -238,10 +241,18 @@ class SocketTransport(Transport):
             conn.writer.close()
         self._conns.clear()
         current = asyncio.current_task()
-        for task in asyncio.all_tasks(self._loop):
-            if task is not current:
-                task.cancel()
-        await asyncio.sleep(0)
+        tasks = [t for t in asyncio.all_tasks(self._loop) if t is not current]
+        if not tasks:
+            return
+        # Closed connections end their handlers at EOF.  A handler that
+        # is cancelled instead trips asyncio's stream callback into
+        # printing a CancelledError traceback, so only stragglers past
+        # the grace period are cancelled, and all are awaited before the
+        # loop stops.
+        _, pending = await asyncio.wait(tasks, timeout=self._CLOSE_GRACE)
+        for task in pending:
+            task.cancel()
+        await asyncio.gather(*pending, return_exceptions=True)
 
     # -- server side -------------------------------------------------------
     async def _serve_conn(

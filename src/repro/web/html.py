@@ -1,23 +1,26 @@
-"""A small HTML document model, serializer, and parser.
+"""A small HTML document model, serializer, scanner and parser.
 
 The Tags Path machinery (Sect. 3.3) needs to treat pages as tag trees:
 the add-on walks the rendered document bottom-up to record the path to
-the selected price element, and the Measurement server re-walks pages
-fetched by proxies to extract the price.  Stores build
-:class:`Element` trees and serialize them; the Measurement server parses
-the HTML text back — so the parser and serializer must round-trip.
+the selected price element, and the Measurement server replays that
+walk on pages fetched by proxies to extract the price.  Stores build
+:class:`Element` trees and serialize them; :func:`scan` reads the HTML
+text back as a validated stream of open/close/text events and
+:func:`parse` builds the tree from it — so parser and serializer must
+round-trip.  The Measurement server consumes the events directly and
+builds no tree.
 
 The model is deliberately minimal (no entities, no comments inside
 content, no CDATA) because the simulated stores only emit what it
-supports; the parser is still defensive because remote pages differ
-between fetches.
+supports; the scanner is still strict about structure because remote
+pages differ between fetches.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Union
+from typing import Dict, Iterator, List, Optional, Tuple, Union
 
 #: Tags that never take children or a closing tag.
 VOID_TAGS = frozenset({"img", "br", "meta", "link", "input", "hr"})
@@ -65,8 +68,12 @@ class Element:
         role across page variants; this is what Tags Path entries match
         on.
         """
-        cls = self.attrs.get("class", "")
-        return f"{self.tag}.{cls}" if cls else self.tag
+        return signature(self.tag, self.attrs.get("class", ""))
+
+
+def signature(tag: str, cls: str) -> str:
+    """:meth:`Element.signature` from a tag name and class attribute."""
+    return f"{tag}.{cls}" if cls else tag
 
 
 def _render_attrs(attrs: Dict[str, str]) -> str:
@@ -99,94 +106,138 @@ def _render_node(node: Node, indent: int) -> str:
     return f"{open_tag}\n{inner}\n{pad}</{node.tag}>"
 
 
-_TOKEN_RE = re.compile(r"<[^>]*>|[^<]+")
-_TAG_RE = re.compile(r"^<\s*(/)?\s*([a-zA-Z][a-zA-Z0-9-]*)((?:\s+[^>]*?)?)\s*(/)?\s*>$")
+#: ``scan`` event kinds
+OPEN, CLOSE, TEXT = 0, 1, 2
+
+#: One token per match.  The leading ``\s*`` absorbs whitespace runs, so
+#: indentation between tags never surfaces as a text token.  Groups: 1
+#: text (first and last character non-space), 2-4 a tag (closing slash,
+#: name, everything up to ``>``), 5 a doctype or comment, 6 any other
+#: ``<...>`` token (malformed).  A ``<`` with no ``>`` after it matches
+#: alone and is dropped; so is trailing whitespace.  The tag's tail is
+#: matched greedily and split into attributes and a self-closing slash
+#: in :func:`scan`: a lazy attribute group makes the whole scan three
+#: times slower.
+_SCAN_RE = re.compile(
+    r"\s*(?:([^<\s](?:[^<]*[^<\s])?)"
+    r"|<\s*(/)?\s*([a-zA-Z][a-zA-Z0-9-]*)([^>]*)>"
+    r"|<(?:(!)[^>]*>|([^>]*)>)?)?"
+)
 _ATTR_RE = re.compile(r'([a-zA-Z][a-zA-Z0-9_:-]*)\s*=\s*"([^"]*)"')
 
 
-class ParseObserver:
-    """Receives enter/exit events while :func:`parse` builds the tree.
+def parse_attrs(attr_text: str) -> Dict[str, str]:
+    """The attributes of an OPEN event's raw attribute text.
 
-    ``enter`` fires at each element's open tag (pre-order, the same
-    order :func:`iter_elements` yields); ``exit`` fires at its closing
-    tag — after every descendant's exit — and never fires for
-    :data:`VOID_TAGS`.  A self-closed non-void tag gets ``enter``
-    followed immediately by ``exit``.  This lets callers build
-    per-document indexes (e.g. the Tags-Path extraction index) in the
-    same single pass as the parse instead of re-walking the tree.
+    Only double-quoted values count; a repeated name keeps its last
+    value.
     """
-
-    def enter(self, element: Element) -> None:  # pragma: no cover
-        raise NotImplementedError
-
-    def exit(self, element: Element) -> None:  # pragma: no cover
-        raise NotImplementedError
+    return dict(_ATTR_RE.findall(attr_text)) if attr_text else {}
 
 
-def parse(html: str, observer: Optional[ParseObserver] = None) -> Element:
-    """Parse HTML text into an :class:`Element` tree.
+def scan(html: str) -> Iterator[Tuple[int, str, str]]:
+    """Validate a document in one pass and yield its events in order.
 
-    Returns the single root element (conventionally ``<html>``).  The
-    parser tolerates a doctype prelude and surrounding whitespace; any
-    structural error (unbalanced tags, text outside the root) raises
-    :class:`HTMLParseError`.  An optional :class:`ParseObserver` sees
-    every element enter/exit during the parse itself; on a parse error
-    the observer may have seen a prefix of the document and its state
-    must be discarded.
+    Events are ``(OPEN, tag, attr_text)``, ``(CLOSE, tag, "")`` and
+    ``(TEXT, line, "")``.  ``tag`` is lower-cased; ``attr_text`` is the
+    raw attribute text (see :func:`parse_attrs`).  A void tag yields
+    only OPEN; a self-closed non-void tag yields OPEN then CLOSE.  A
+    text run yields one TEXT per non-blank line, stripped, as the
+    serializer writes one text node per line.  Doctypes and comments
+    yield nothing.
+
+    Every structural error (malformed tag, mismatched or unclosed tag,
+    text outside the root, several roots, no element at all) raises
+    :class:`HTMLParseError` at the point it is found; the caller must
+    then drop whatever it built from the events before it.
     """
-    root: Optional[Element] = None
-    stack: List[Element] = []
-    for raw in _TOKEN_RE.findall(html):
-        if raw.startswith("<"):
-            if raw.startswith("<!"):
-                continue  # doctype / comment
-            match = _TAG_RE.match(raw)
-            if match is None:
-                raise HTMLParseError(f"malformed tag token {raw!r}")
-            closing, tag, attr_text, self_closing = match.groups()
+    stack: List[str] = []
+    rooted = False  # an element has been opened at the top level
+    for match in _SCAN_RE.finditer(html):
+        kind = match.lastindex
+        if kind == 4:
+            closing, tag, tail = match.group(2, 3, 4)
             tag = tag.lower()
+            self_closing = False
+            # the tail is empty, or attributes after a space, or a
+            # self-closing "/"; spaces may pad the slash
+            if tail:
+                if not tail[0].isspace():
+                    if tail.rstrip() != "/":
+                        raise HTMLParseError(
+                            f"malformed tag token {match.group().lstrip()!r}"
+                        )
+                    tail, self_closing = "", True
+                elif tail[-1] == "/" or tail[-1].isspace():
+                    tail = tail.rstrip()
+                    if tail[-1:] == "/":
+                        tail, self_closing = tail[:-1], True
             if closing:
-                if not stack or stack[-1].tag != tag:
-                    opened = stack[-1].tag if stack else None
+                if not stack or stack[-1] != tag:
+                    opened = stack[-1] if stack else None
                     raise HTMLParseError(
                         f"closing </{tag}> does not match open <{opened}>"
                     )
-                element = stack.pop()
-                if observer is not None:
-                    observer.exit(element)
-                if not stack:
-                    root = element
-            else:
-                attrs = dict(_ATTR_RE.findall(attr_text or ""))
-                element = Element(tag=tag, attrs=attrs)
-                if stack:
-                    stack[-1].append(element)
-                elif root is not None:
+                stack.pop()
+                yield CLOSE, tag, ""
+                continue
+            if not stack:
+                if rooted:
                     raise HTMLParseError("multiple root elements")
-                if observer is not None:
-                    observer.enter(element)
-                if tag not in VOID_TAGS and not self_closing:
-                    stack.append(element)
+                rooted = True
+            yield OPEN, tag, tail
+            if tag not in VOID_TAGS:
+                if self_closing:
+                    yield CLOSE, tag, ""
                 else:
-                    if observer is not None and tag not in VOID_TAGS:
-                        observer.exit(element)
-                    if not stack and root is None:
-                        root = element
-        else:
-            # One text token may span several rendered lines; split them
-            # back into the per-line text nodes the serializer emitted so
-            # that parse(render(x)) round-trips exactly.
-            lines = [line.strip() for line in raw.splitlines()]
-            for text in lines:
-                if not text:
-                    continue
-                if not stack:
-                    raise HTMLParseError(f"text outside the document root: {text!r}")
-                stack[-1].append(text)
+                    stack.append(tag)
+        elif kind == 1:
+            text = match.group(1)
+            lines = text.splitlines()
+            if not stack:
+                raise HTMLParseError(
+                    f"text outside the document root: {lines[0].strip()!r}"
+                )
+            if len(lines) == 1:
+                yield TEXT, text, ""
+            else:
+                for line in lines:
+                    line = line.strip()
+                    if line:
+                        yield TEXT, line, ""
+        elif kind == 6:
+            raise HTMLParseError(f"malformed tag token {match.group().lstrip()!r}")
+        # otherwise whitespace, a bare "<", a doctype or a comment
     if stack:
-        raise HTMLParseError(f"unclosed tag <{stack[-1].tag}>")
-    if root is None:
+        raise HTMLParseError(f"unclosed tag <{stack[-1]}>")
+    if not rooted:
         raise HTMLParseError("empty document")
+
+
+def parse(html: str) -> Element:
+    """Parse HTML text into an :class:`Element` tree.
+
+    Returns the single root element (conventionally ``<html>``).  A
+    tree builder over :func:`scan`, so it tolerates a doctype prelude
+    and surrounding whitespace and raises :class:`HTMLParseError` on
+    any structural error (unbalanced tags, text outside the root).
+    """
+    root: Optional[Element] = None
+    stack: List[Element] = []
+    for kind, value, attr_text in scan(html):
+        if kind == TEXT:
+            stack[-1].children.append(value)
+        elif kind == OPEN:
+            element = Element(value, parse_attrs(attr_text))
+            if stack:
+                stack[-1].children.append(element)
+            else:
+                root = element
+            if value not in VOID_TAGS:
+                stack.append(element)
+        else:
+            stack.pop()
+    assert root is not None  # scan() raises on an empty document
     return root
 
 

@@ -5,8 +5,9 @@ extraction over the fetched page, currency detection over the selected
 string, then the cross-vantage variation report — so at million-user
 scale it executes millions of times per sweep.  This workload times the
 fast extraction engine of :mod:`repro.core.tagspath`
-(``use_fast_extract=True``: one :class:`ExtractionIndex` built during
-the parse, suffix-pruned LCS, whole-extraction memo) against the legacy
+(``use_fast_extract=True``: closing-event spans recorded straight from
+the page's scan events, suffix-pruned LCS, whole-extraction memo)
+against the legacy
 per-candidate re-walk on the same corpus of seeded store-layout variant
 pages, and reports the supporting micro numbers for the compiled
 currency tables and the streaming :class:`VariationAccumulator`.

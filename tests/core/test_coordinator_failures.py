@@ -116,3 +116,27 @@ class TestBackoffSchedule:
             raw = min(policy.cap, policy.base * policy.factor ** attempt)
             delay = coordinator.next_backoff(attempt)
             assert raw * (1 - policy.jitter) <= delay <= raw * (1 + policy.jitter)
+
+
+class TestNoServerAtFirstAssignment:
+    def test_all_servers_offline_fails_the_job(self, world, sheriff, es_user):
+        """The first assignment reports the job failed, as a
+        reassignment does, instead of leaking NoServerAvailable."""
+        from repro.core.errors import PriceCheckFailed
+
+        coordinator = sheriff.coordinator
+        distributor = coordinator.distributor
+        for record in distributor.servers():
+            record.online = False
+        before = distributor.assignments
+        with pytest.raises(PriceCheckFailed) as raised:
+            es_user.check_price(product_url(world))
+        job = coordinator.jobs[raised.value.job_id]
+        assert job.failed and job.attempts == 0
+        assert job.failure_reason == "no online Measurement server"
+        assert coordinator.jobs_failed == 1
+        assert coordinator.failed_jobs() == [job]
+        # nothing was assigned, so nothing was released on a server
+        assert distributor.assignments == before
+        assert distributor.failures == 0
+        assert coordinator.pending_jobs() == 0

@@ -92,6 +92,13 @@ class TestResultConsistency:
         assert "<html>" in restored
         assert result.domain in restored
 
+    def test_line_index_released_after_fanout(self, world, sheriff, es_user,
+                                              es_peers):
+        """Only the running fan-out holds a reference line index."""
+        es_user.check_price(product_url(world))
+        assert sheriff.diffstore.diff_count() > 0
+        assert sheriff.diffstore._active is None
+
     def test_simultaneous_fetches(self, world, sheriff, es_user, es_peers):
         """All measurement points observe the same simulated instant —
         the paper's temporal-variation control."""

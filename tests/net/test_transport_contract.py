@@ -7,11 +7,17 @@ so the contract (error taxonomy, timeout mapping, frame limits, payload
 normalisation, shutdown semantics) is pinned once for both.
 """
 
+import os
+import subprocess
+import sys
+import textwrap
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.net.faults import BackoffPolicy
 from repro.net.protocol import FrameTooLarge
 from repro.net.sim import NetworkError, NetworkTimeout
@@ -187,3 +193,37 @@ class TestShutdown:
         assert "result" in outcome or "error" in outcome
         with pytest.raises(NetworkError):
             transport.call("client", "server", "echo", 1)
+
+
+_SILENT_SHUTDOWN = textwrap.dedent("""
+    from repro.clients.ipc import DEFAULT_IPC_SITES
+    from repro.core.sheriff import PriceSheriff, SheriffWorld
+    from repro.workloads.stores import build_named_stores, uniform_store_specs
+
+    world = SheriffWorld.create(seed=2017)
+    specs = uniform_store_specs(1, seed=2020)
+    store = build_named_stores(world, specs)[specs[0].domain]
+    sheriff = PriceSheriff(world, n_measurement_servers=2,
+                           ipc_sites=DEFAULT_IPC_SITES[:3], transport="socket")
+    addon = sheriff.install_addon(world.make_browser("ES"))
+    addon.check_price(store.product_url(store.catalog.products[0].product_id))
+    sheriff.shutdown()
+    print("ok")
+""")
+
+
+def test_socket_deployment_shutdown_writes_nothing_to_stderr():
+    """Shutting a socket deployment down after real traffic leaves no
+    CancelledError tracebacks from its open connections."""
+    src = str(Path(repro.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", _SILENT_SHUTDOWN],
+        capture_output=True, text=True, timeout=120, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "ok"
+    assert proc.stderr == ""
