@@ -52,6 +52,11 @@ class Aggregator:
             raise RuntimeError("no clustering round in progress")
         self._kmeans.submit(peer_id, ciphertext)
 
+    def close_workers(self) -> None:
+        """Reap the current round's worker processes (idempotent)."""
+        if self._kmeans is not None:
+            self._kmeans.close()
+
     @property
     def n_profiles(self) -> int:
         return 0 if self._kmeans is None else self._kmeans.n_clients

@@ -556,22 +556,29 @@ class PriceSheriff:
             self.crypto_group, m=len(reference_domains),
             value_bound=quantization, rng=self.world.rng, n_workers=n_workers,
         )
-        self.aggregator.begin_collection(crypto_coordinator, n_workers=n_workers)
-        for addon in participants:
-            ciphertext = addon.encrypted_profile(
-                crypto_coordinator.scheme, crypto_coordinator.public_keys,
-                reference_domains, self.world.rng, quantization,
+        try:
+            self.aggregator.begin_collection(
+                crypto_coordinator, n_workers=n_workers
             )
-            self.aggregator.submit_encrypted_profile(addon.peer_id, ciphertext)
+            for addon in participants:
+                ciphertext = addon.encrypted_profile(
+                    crypto_coordinator.scheme, crypto_coordinator.public_keys,
+                    reference_domains, self.world.rng, quantization,
+                )
+                self.aggregator.submit_encrypted_profile(addon.peer_id, ciphertext)
 
-        if initial_centroids is None:
-            initial_centroids = self._sparse_random_centroids(
-                k, len(reference_domains), quantization
+            if initial_centroids is None:
+                initial_centroids = self._sparse_random_centroids(
+                    k, len(reference_domains), quantization
+                )
+            crypto_coordinator.set_centroids(initial_centroids)
+            mapping = self.aggregator.run_clustering(
+                halt_threshold=halt_threshold, max_iterations=max_iterations
             )
-        crypto_coordinator.set_centroids(initial_centroids)
-        mapping = self.aggregator.run_clustering(
-            halt_threshold=halt_threshold, max_iterations=max_iterations
-        )
+        finally:
+            # both parties' fork pools end with the round
+            self.aggregator.close_workers()
+            crypto_coordinator.close()
 
         centroids = [
             ProfileVector(

@@ -13,7 +13,10 @@ relies on.
 Every exponentiation here is against a *fixed* base — the generator
 ``g`` or a public key ``h_i`` — so by default the scheme routes through
 the windowed comb tables of :mod:`repro.crypto.fastexp` (several times
-faster than built-in ``pow``, bit-identical results).  Pass
+faster than built-in ``pow``, bit-identical results).  Encryption and
+re-randomization raise ``g`` and every ``h_i`` to one shared ``r``, so
+they take all 1 + t powers from a single digit pass
+(:func:`repro.crypto.fastexp.pow_many`).  Pass
 ``use_fastexp=False`` to force the naive textbook path; the lockstep
 tests prove both produce the same ciphertext bytes for the same RNG
 stream.
@@ -64,6 +67,15 @@ class VectorElGamal:
             self._tables[base] = table
         return table
 
+    def key_tables(self, public: Sequence[int]) -> List[fastexp.FixedBaseTable]:
+        """The comb tables of ``g`` then every ``h_i``, in that order.
+
+        Building them is also how the Aggregator prewarms its tables
+        before its worker pool forks.
+        """
+        powers = self._powers
+        return [powers(self.group.g), *(powers(h) for h in public)]
+
     def _exp(self, base: int, exponent: int) -> int:
         """base^exponent via the comb table or the naive path."""
         if self.use_fastexp:
@@ -101,16 +113,13 @@ class VectorElGamal:
                 for h, c in zip(public, plaintext)
             )
             return Ciphertext(alpha=alpha, betas=betas)
-        # hot path: hoist the table handles and fold the mod-mul inline —
-        # per-component dispatch overhead otherwise rivals the arithmetic
-        p = self.group.p
-        powers = self._powers
-        gpow = powers(self.group.g).pow
-        betas = tuple(
-            powers(h).pow(r) * gpow(c) % p
-            for h, c in zip(public, plaintext)
+        # hot path: g^r and every h_i^r share r, so one digit pass
+        # serves all 1 + t of them, each folded into its g^{c_i}
+        gpow = self._powers(self.group.g).pow
+        alpha, *betas = fastexp.pow_many(
+            self.key_tables(public), r, [1, *(gpow(c) for c in plaintext)]
         )
-        return Ciphertext(alpha=gpow(r), betas=betas)
+        return Ciphertext(alpha=alpha, betas=tuple(betas))
 
     def rerandomize(
         self,
@@ -129,25 +138,38 @@ class VectorElGamal:
         bit-identical to ``add(ct, encrypt(public, mask_vector))`` with
         the same draw.
         """
+        r = self.group.random_exponent(rng)
+        scale_at = {i: self.gexp(value) for i, value in (add_at or {}).items()}
+        return self.rerandomize_with(public, ct, r, scale_at)
+
+    def rerandomize_with(
+        self,
+        public: Sequence[int],
+        ct: Ciphertext,
+        r: int,
+        scale_at: Optional[Dict[int, int]] = None,
+    ) -> Ciphertext:
+        """:meth:`rerandomize` with the randomness ``r`` given.
+
+        α′ = α·g^r, β′_i = β_i·h_i^r, and every β named in ``scale_at``
+        is also multiplied by the group element it maps to.  The fast
+        path takes all 1 + t powers of ``r`` from one digit pass.  The
+        Aggregator's mask calls this with exponents drawn in its parent
+        process, so the work can run in a worker.
+        """
         if len(public) != self.dimensions or ct.dimensions != self.dimensions:
             raise ValueError("public key / ciphertext dimension mismatch")
-        r = self.group.random_exponent(rng)
-        if not self.use_fastexp:
+        if self.use_fastexp:
+            alpha, *betas = fastexp.pow_many(
+                self.key_tables(public), r, [ct.alpha, *ct.betas]
+            )
+        else:
             mul = self.group.mul
             alpha = mul(ct.alpha, self.gexp(r))
             betas = [mul(b, self._exp(h, r)) for b, h in zip(ct.betas, public)]
-            if add_at:
-                for index, value in add_at.items():
-                    betas[index] = mul(betas[index], self.gexp(value))
-            return Ciphertext(alpha=alpha, betas=tuple(betas))
         p = self.group.p
-        powers = self._powers
-        gpow = powers(self.group.g).pow
-        alpha = ct.alpha * gpow(r) % p
-        betas = [b * powers(h).pow(r) % p for b, h in zip(ct.betas, public)]
-        if add_at:
-            for index, value in add_at.items():
-                betas[index] = betas[index] * gpow(value) % p
+        for index, factor in (scale_at or {}).items():
+            betas[index] = betas[index] * factor % p
         return Ciphertext(alpha=alpha, betas=tuple(betas))
 
     # -- decryption ----------------------------------------------------------

@@ -24,6 +24,15 @@ Two classic techniques cut this down:
   (``pow(a, p-2, p)``), so unmasking a whole client batch this way is
   a large constant-factor win.
 
+When many fixed bases are raised to the *same* exponent — every
+``h_i^r`` of one encryption or re-randomization shares its ``r`` —
+:func:`pow_many` splits the exponent into base-2^w digits once and walks
+every table with that one digit list, instead of re-deriving the digits
+per base.  Encryption and the Aggregator's mask workers use it; for 53
+bases at 256 bits it takes ~1.65 ms against ~2.0 ms for 53 separate
+:meth:`FixedBaseTable.pow` calls (best of interleaved repeats, CPython
+3.11 on a 2-vCPU host).
+
 Tables for truly fixed bases (``g``, the ``h_i``) live in a module-level
 LRU cache (:func:`fixed_base`) so that (a) every scheme object sharing a
 group shares tables and (b) worker processes forked *after* the tables
@@ -52,6 +61,7 @@ __all__ = [
     "ephemeral_table",
     "fastexp_cache_info",
     "fixed_base",
+    "pow_many",
 ]
 
 #: fixed-base tables cached per (modulus, base); LRU-bounded because
@@ -156,6 +166,54 @@ class FixedBaseTable:
         if _METRICS.pows is not None:
             _METRICS.pows.inc()
         return result
+
+
+def pow_many(
+    tables: Sequence[FixedBaseTable],
+    exponent: int,
+    factors: Optional[Sequence[int]] = None,
+) -> List[int]:
+    """``[factors[i] · tables[i].base^exponent mod p]`` in one digit pass.
+
+    The exponent is reduced mod q and split into its non-zero base-2^w
+    windows once; each table then contributes one lookup and one modular
+    multiplication per window, folded straight into its factor (default
+    1).  Every table must share ``(p, q, window)`` — true of all the
+    fixed-base tables of one group.  Counts one exponentiation per base.
+    """
+    if not tables:
+        return []
+    first = tables[0]
+    p, q, w = first.p, first.q, first.window
+    for table in tables:
+        if table.p != p or table.q != q or table.window != w:
+            raise ValueError("tables must share modulus, order and window")
+    if factors is None:
+        factors = [1] * len(tables)
+    elif len(factors) != len(tables):
+        raise ValueError("need one factor per table")
+    e = exponent % q
+    mask = (1 << w) - 1
+    digits = []
+    j = 0
+    while e:
+        d = e & mask
+        if d:
+            digits.append((j, d))
+        e >>= w
+        j += 1
+    out = []
+    for factor, table in zip(factors, tables):
+        rows = table.rows
+        acc = factor % p
+        # gather the entries first: one comprehension beats indexing
+        # inside the multiply loop
+        for entry in [rows[j][d] for j, d in digits]:
+            acc = acc * entry % p
+        out.append(acc)
+    if _METRICS.pows is not None:
+        _METRICS.pows.inc(len(tables))
+    return out
 
 
 #: (p, base) → FixedBaseTable, most-recently-used last

@@ -9,13 +9,18 @@ registry and hands them to :mod:`repro.crypto.fastexp` and
 protocol parties themselves (``KMeansCoordinator.bind_telemetry`` /
 ``KMeansAggregator.bind_telemetry``).
 
-Caveat for ``n_workers > 1``: forked pool workers inherit the bound
-instruments but increment their own copies — the parent's counters see
-only parent-side work.  Phase histograms are recorded parent-side and
+With ``n_workers > 1``, forked pool workers inherit the bound
+instruments but increment their own copies; each chunk a worker runs
+hands its increments back (:func:`counter_totals` before and after),
+and the parent adds them to its counters (:func:`add_counts`), so the
+counters read the same at any worker count.  The gauges describe the
+parent's own caches.  Phase histograms are recorded parent-side and
 therefore always complete.
 """
 
 from __future__ import annotations
+
+from typing import Sequence, Tuple
 
 from repro.crypto import dlog, fastexp
 
@@ -61,3 +66,26 @@ def unbind_crypto_telemetry() -> None:
     """Detach all crypto instruments (tests and benchmark hygiene)."""
     fastexp.bind_instruments()
     dlog.bind_instruments()
+
+
+def _counters() -> tuple:
+    """The counters a pool worker's increments are forwarded for."""
+    return (
+        fastexp._METRICS.pows,
+        fastexp._METRICS.builds,
+        fastexp._METRICS.batch_inversions,
+        dlog._METRICS.calls,
+        dlog._METRICS.evictions,
+    )
+
+
+def counter_totals() -> Tuple[float, ...]:
+    """This process's totals of the forwarded counters (0 if unbound)."""
+    return tuple(0.0 if c is None else c.total for c in _counters())
+
+
+def add_counts(deltas: Sequence[float]) -> None:
+    """Add a worker's counter increments to this process's counters."""
+    for counter, delta in zip(_counters(), deltas):
+        if counter is not None and delta:
+            counter.inc(delta)

@@ -43,13 +43,32 @@ multi-iteration run no longer pays pool startup per phase per iteration.
 Both parties are context managers; ``close()`` (or ``with``) shuts the
 pools down deterministically.
 
+Three phases use the pools: the Aggregator's mask (its costliest, 1 + t
+fixed-base exponentiations per client per iteration) and unmask on the
+Aggregator's pool, the distance evaluation on the Coordinator's.  The
+mask's random draws never leave the parent: it draws ν then r for each
+client in client order, exactly as the serial path does, and ships only
+the exponents to :func:`_mask_chunk`, which also returns each ``g^ν``;
+the Aggregator carries those to the unmask in place of ν, so the unmask
+needs no exponentiation of its own.  The Aggregator's pool forks at its
+first pooled phase, after the parent has built the ``g``/``h_i`` comb
+tables and the BSGS context.  A phase fans out only when its work —
+clients × t for the mask, clients × k × t for the distance and unmask,
+each times (group bits / 64)² — reaches :data:`PARALLEL_MIN_WORK`
+(30,000, where 2 workers measured even with 1); smaller phases run
+in-process.  Workers hand their ``sheriff_crypto_*`` counter increments
+back with each chunk, so the parent's counters read the same at any
+worker count.
+
 Fast-path crypto (default; ``use_fastexp=False`` restores the naive
 textbook arithmetic, bit-for-bit and RNG-draw-for-draw identical):
 
 * all fixed-base exponentiations route through comb tables
   (:mod:`repro.crypto.fastexp`);
 * the mask is a cheap re-randomization — ``α·g^r``, ``β_i·h_i^r``,
-  ``β_1·g^ν`` — instead of a full encryption of a mostly-zero vector;
+  ``β_1·g^ν`` — instead of a full encryption of a mostly-zero vector,
+  and all 1 + t powers of the shared r come from one digit pass
+  (:func:`repro.crypto.fastexp.pow_many`);
 * the per-client ``g^ν`` unmask factors are inverted together with one
   Montgomery batch inversion instead of one ``pow(·, p-2, p)`` each.
 """
@@ -64,10 +83,43 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.crypto import dlog as _dlog
 from repro.crypto import fastexp
+from repro.crypto import obs as _crypto_obs
 from repro.crypto.dlog import discrete_log
 from repro.crypto.elgamal import Ciphertext, VectorElGamal
 from repro.crypto.fe import InnerProductFE
 from repro.crypto.group import SchnorrGroup, TEST_GROUP
+
+#: a phase goes to the worker pool only when its work reaches this:
+#: clients × t for the mask (1 + t fixed-base powers per client),
+#: clients × k × t for the distance (one FE evaluation per centroid) and
+#: the unmask (one discrete log per centroid), each scaled by
+#: (group bits / 64)².  Below it fork and pickling cost more than the
+#: second core saves.  Measured on a 2-vCPU host (CPython 3.11), each
+#: phase alone in the first iteration of fresh parties, so including the
+#: pool's start-up (ms, best of 3-4, 1 vs 2 workers):
+#:
+#: * 64-bit mask (clients × t): 10,400 49 vs 72; 20,800 109 vs 122;
+#:   31,200 117 vs 110; 41,600 226 vs 192;
+#: * 64-bit distance (clients × k × t): 21,504 29 vs 39; 24,960 36 vs
+#:   34; 31,200 32-45 vs 28-46; 124,800 (Fig. 8(c), k=20) 123 vs 84;
+#:   unmask at the same sizes 8-16 vs 11-16, then 72 vs 61;
+#: * 256-bit mask: 1,248 40 vs 57; 2,496 83 vs 88; 4,992 209 vs 150;
+#:   distance 2,688 41 vs 40, 7,488 52 vs 42;
+#: * 2048-bit: 8 clients, m=12 (mask 112) already gain: mask 1,007 vs
+#:   683, distance 814 vs 455.
+#:
+#: The (bits/64)² scale puts the 256-bit threshold at 1,875 units,
+#: slightly early for the mask (break-even 2,500-5,000) and about right
+#: for the distance; at 2048 bits it is 29 units, so every real round
+#: fans out.  ``cryptobench --scale smoke`` (48 clients, t=14, k=4, 64
+#: bits: mask 672, distance 2,688) stays serial; Fig. 8(c) at default
+#: scale (120 clients, t=52 or 102, k=20-60, 64 bits) keeps its mask
+#: in-process (6,240 or 12,240) and fans out its distance and unmask
+#: (124,800 and up), which at m=50, k=60 takes 0.73 s per iteration
+#: with 1 worker and 0.61 s with 4 (median of 5 runs, each the best of 3
+#: iterations); perfbench ``cluster`` (150 clients, t=52, k=4, 256 bits:
+#: mask 124,800, distance 499,200) fans out every phase.
+PARALLEL_MIN_WORK = 30_000
 
 
 def profile_to_plaintext(point: Sequence[int]) -> List[int]:
@@ -101,9 +153,16 @@ class WorkerPool:
         return self._pool is not None
 
     def map(self, fn, args: Sequence) -> list:
+        """``[fn(a) for a in args]`` on the workers; each worker's
+        ``sheriff_crypto_*`` counter increments are added to this
+        process's counters."""
         if self._pool is None:
             self._pool = multiprocessing.get_context("fork").Pool(self.n_workers)
-        return self._pool.map(fn, args)
+        out = []
+        for result, counts in self._pool.map(_counted, [(fn, a) for a in args]):
+            _crypto_obs.add_counts(counts)
+            out.append(result)
+        return out
 
     def close(self) -> None:
         """Shut the workers down and reap them (idempotent)."""
@@ -215,7 +274,9 @@ class KMeansCoordinator:
         """
         started = time.perf_counter()
         s_vectors, f_keys = self._function_data()
-        if self.n_workers <= 1 or len(masked) < 2:
+        if not _fans_out(
+            self.n_workers, len(masked), len(masked) * self.k * self.t, self.group
+        ):
             out = dict(
                 _distance_chunk(
                     (self.group.p, self.group.q, self.group.g,
@@ -311,66 +372,100 @@ class KMeansAggregator:
 
     # -- distance phase (Aggregator side) -------------------------------------
     def _mask(self, ct: Ciphertext) -> Tuple[Ciphertext, int]:
-        """Re-randomize and add ν to coordinate 1; returns (masked, ν).
+        """Naive mask: add a full encryption of (ν, 0, …, 0).
 
-        Fast path: multiply the re-randomization straight into the
-        ciphertext (``α·g^r``, ``β_i·h_i^r``, ``β_1·g^ν``) through the
-        fixed-base tables — 1 + t table exponentiations instead of the
-        naive path's full encryption of a mostly-zero mask vector
-        (1 + 2t raw ones).  Identical output, identical RNG draws
-        (ν then r) either way.
+        Returns (masked, g^ν).  Draws ν then r, the same draws as the
+        fast path of :meth:`mask_all`.
         """
         nu = self.group.random_exponent(self._rng)
-        public = self.coordinator.public_keys
-        if self.use_fastexp:
-            masked = self.scheme.rerandomize(
-                public, ct, self._rng, add_at={0: nu}
-            )
-            return masked, nu
         mask_plain = [nu] + [0] * (self.coordinator.t - 1)
-        mask_ct = self.scheme.encrypt(public, mask_plain, self._rng)
-        return self.scheme.add(ct, mask_ct), nu
+        mask_ct = self.scheme.encrypt(
+            self.coordinator.public_keys, mask_plain, self._rng
+        )
+        return self.scheme.add(ct, mask_ct), self.group.gexp(nu)
 
     def mask_all(self) -> Tuple[List[Tuple[int, int, Tuple[int, ...]]], List[int]]:
-        """Mask every held ciphertext; returns (masked batch, ν list)."""
+        """Mask every held ciphertext; returns (masked batch, g^ν list).
+
+        :meth:`choose_clusters` strips the masks with the ``g^ν`` list,
+        so ν itself is never needed again.  Fast path: the parent draws ν
+        then r for each client, in client order (the same draws as the
+        naive :meth:`_mask`), and only the exponentiations run in
+        :func:`_mask_chunk` — on the worker pool when the round is large
+        enough (:func:`_fans_out`), in-process otherwise.
+        """
         started = time.perf_counter()
         masked_batch: List[Tuple[int, int, Tuple[int, ...]]] = []
-        nus: List[int] = []
+        g_nus: List[int] = []
+        if not self.use_fastexp:
+            for idx, client_id in enumerate(self._order):
+                masked, g_nu = self._mask(self._ciphertexts[client_id])
+                masked_batch.append((idx, masked.alpha, masked.betas))
+                g_nus.append(g_nu)
+            self._observe_phase("mask", time.perf_counter() - started)
+            return masked_batch, g_nus
+        draw = self.group.random_exponent
+        rng = self._rng
+        items = []
         for idx, client_id in enumerate(self._order):
-            masked, nu = self._mask(self._ciphertexts[client_id])
-            masked_batch.append((idx, masked.alpha, masked.betas))
-            nus.append(nu)
+            ct = self._ciphertexts[client_id]
+            nu = draw(rng)
+            items.append((idx, ct.alpha, ct.betas, nu, draw(rng)))
+        args = [(self.group, self.coordinator.public_keys, chunk)
+                for chunk in _split(items, self.n_workers)]
+        work = len(items) * self.coordinator.t
+        if _fans_out(self.n_workers, len(items), work, self.group):
+            self._warm_before_fork()
+            partials = self.pool.map(_mask_chunk, args)
+        else:
+            partials = [_mask_chunk(a) for a in args]
+        for partial in partials:
+            for idx, alpha, betas, g_nu in partial:
+                masked_batch.append((idx, alpha, betas))
+                g_nus.append(g_nu)
         self._observe_phase("mask", time.perf_counter() - started)
-        return masked_batch, nus
+        return masked_batch, g_nus
 
-    def _unmask_factors(self, nus: Sequence[int]) -> List[int]:
+    def _warm_before_fork(self) -> None:
+        """Build the g/h_i comb tables and the BSGS context in the parent.
+
+        Called before every pool use; only the first, which forks the
+        workers, does anything, and the workers inherit both structures
+        copy-on-write.
+        """
+        if not self.pool.started:
+            self.scheme.key_tables(self.coordinator.public_keys)
+            _dlog.prewarm(self.group, self._distance_bound())
+
+    def _distance_bound(self) -> int:
+        """Largest squared distance: m · value_bound²."""
+        return self.coordinator.m * self.coordinator.value_bound ** 2
+
+    def _unmask_factors(self, g_nus: Sequence[int]) -> List[int]:
         """The per-client g^{-ν} factors, batch-inverted on the fast path."""
         if self.use_fastexp:
-            g_nus = [self.scheme.gexp(nu) for nu in nus]
             return fastexp.batch_invert(self.group.p, g_nus)
-        return [self.group.inv(self.group.gexp(nu)) for nu in nus]
+        return [self.group.inv(g_nu) for g_nu in g_nus]
 
     def choose_clusters(
-        self, gamma_map: Dict[int, List[int]], nus: Sequence[int]
+        self, gamma_map: Dict[int, List[int]], g_nus: Sequence[int]
     ) -> Tuple[Dict[str, int], int]:
-        """Unmask the γs, discrete-log, pick each client's nearest centroid."""
+        """Unmask the γs with :meth:`mask_all`'s ``g^ν`` list,
+        discrete-log, pick each client's nearest centroid."""
         started = time.perf_counter()
-        m = self.coordinator.m
-        bound = m * self.coordinator.value_bound ** 2
-        unmask_factors = self._unmask_factors(nus)
+        bound = self._distance_bound()
+        unmask_factors = self._unmask_factors(g_nus)
         unmask_items = [
             (idx, unmask_factors[idx], gamma_map[idx])
             for idx in range(len(self._order))
         ]
-        if self.n_workers <= 1 or len(unmask_items) < 2:
+        work = len(unmask_items) * self.coordinator.k * self.coordinator.t
+        if not _fans_out(self.n_workers, len(unmask_items), work, self.group):
             results = _unmask_chunk(
                 (self.group.p, self.group.q, self.group.g, bound, unmask_items)
             )
         else:
-            # build the BSGS context in the parent before the workers
-            # fork so every worker inherits it copy-on-write
-            if not self.pool.started:
-                _dlog.prewarm(self.group, bound)
+            self._warm_before_fork()
             chunks = _split(unmask_items, self.n_workers)
             args = [
                 (self.group.p, self.group.q, self.group.g, bound, chunk)
@@ -394,9 +489,9 @@ class KMeansAggregator:
 
     def assign_all(self) -> Tuple[Dict[str, int], int]:
         """One client→cluster mapping pass; returns (mapping, n_changed)."""
-        masked_batch, nus = self.mask_all()
+        masked_batch, g_nus = self.mask_all()
         gamma_map = self.coordinator.distance_elements_batch(masked_batch)
-        return self.choose_clusters(gamma_map, nus)
+        return self.choose_clusters(gamma_map, g_nus)
 
     # -- update phase (Aggregator side) ---------------------------------------
     def aggregate_clusters(self) -> Dict[int, Tuple[Ciphertext, int]]:
@@ -418,6 +513,43 @@ class KMeansAggregator:
 def _split(items: list, n: int) -> List[list]:
     size = max(1, (len(items) + n - 1) // n)
     return [items[i: i + size] for i in range(0, len(items), size)]
+
+
+def _fans_out(
+    n_workers: int, n_items: int, work: int, group: SchnorrGroup
+) -> bool:
+    """Whether a phase of ``work`` units over ``n_items`` clients goes to
+    the worker pool (see :data:`PARALLEL_MIN_WORK`)."""
+    return (
+        n_workers > 1
+        and n_items >= 2
+        and work * (group.bits / 64) ** 2 >= PARALLEL_MIN_WORK
+    )
+
+
+def _counted(job) -> Tuple[object, Tuple[float, ...]]:
+    """Run ``fn(args)`` in a worker; also return the crypto counter
+    increments it made there, for the parent to add to its own."""
+    fn, args = job
+    before = _crypto_obs.counter_totals()
+    result = fn(args)
+    after = _crypto_obs.counter_totals()
+    return result, tuple(a - b for a, b in zip(after, before))
+
+
+def _mask_chunk(args) -> List[Tuple[int, int, Tuple[int, ...], int]]:
+    """Mask a chunk with exponents the parent drew: per client
+    (idx, α·g^r, (β_1·h_1^r·g^ν, β_i·h_i^r …), g^ν)."""
+    group, public, chunk = args
+    scheme = VectorElGamal(group, len(public))
+    out = []
+    for idx, alpha, betas, nu, r in chunk:
+        g_nu = scheme.gexp(nu)
+        masked = scheme.rerandomize_with(
+            public, Ciphertext(alpha=alpha, betas=betas), r, {0: g_nu}
+        )
+        out.append((idx, masked.alpha, masked.betas, g_nu))
+    return out
 
 
 def _distance_chunk(args) -> List[Tuple[int, List[int]]]:

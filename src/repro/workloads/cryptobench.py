@@ -149,12 +149,12 @@ def _run_phases(
         )
 
         started = time.perf_counter()
-        masked_batch, nus = aggregator.mask_all()
+        masked_batch, g_nus = aggregator.mask_all()
         gamma_map = coordinator.distance_elements_batch(masked_batch)
         timings["distance"] = time.perf_counter() - started
 
         started = time.perf_counter()
-        assignments, _ = aggregator.choose_clusters(gamma_map, nus)
+        assignments, _ = aggregator.choose_clusters(gamma_map, g_nus)
         timings["unmask"] = time.perf_counter() - started
 
         started = time.perf_counter()
@@ -221,7 +221,8 @@ def bench_group(
     for n_workers in config.worker_counts:
         naive_t, naive_out = _best_of(group, config, points, False, n_workers)
         fast_t, fast_out = _best_of(group, config, points, True, n_workers)
-        # the whole point: fast bits == naive bits, every mode, every pool
+        # the whole point: fast bits == naive bits, every mode, every
+        # worker count (phases below PARALLEL_MIN_WORK run in-process)
         for out in (naive_out, fast_out):
             if reference is None:
                 reference = out

@@ -13,6 +13,7 @@ from repro.crypto.fastexp import (
     ephemeral_table,
     fastexp_cache_info,
     fixed_base,
+    pow_many,
 )
 from repro.crypto.group import RFC3526_GROUP_2048, TEST_GROUP
 
@@ -116,6 +117,75 @@ class TestEphemeralTable:
     def test_never_touches_module_cache(self):
         ephemeral_table(TEST_GROUP.p, TEST_GROUP.q, TEST_GROUP.g, 100)
         assert fastexp_cache_info()["entries"] == 0
+
+
+def _exponents(q):
+    """Edge exponents around the group order, plus arbitrary ones."""
+    return st.one_of(
+        st.sampled_from([0, 1, q - 1, q, q + 1, 2 * q, -1, -q, -q - 1]),
+        st.integers(min_value=-(1 << 70), max_value=1 << 70),
+    )
+
+
+class TestPowMany:
+    @given(
+        exponent=_exponents(TEST_GROUP.q),
+        bases=st.lists(st.integers(min_value=2, max_value=1 << 60),
+                       min_size=1, max_size=6),
+        data=st.data(),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_property_matches_per_table_pow(self, exponent, bases, data):
+        group = TEST_GROUP
+        tables = [fixed_base(group.p, group.q, pow(b, 2, group.p)) for b in bases]
+        factors = data.draw(st.lists(
+            st.integers(min_value=0, max_value=group.p - 1),
+            min_size=len(tables), max_size=len(tables),
+        ))
+        expected = [f * t.pow(exponent) % group.p for f, t in zip(factors, tables)]
+        assert pow_many(tables, exponent, factors) == expected
+
+    @given(exponent=_exponents(RFC3526_GROUP_2048.q))
+    @settings(max_examples=5, deadline=None)
+    def test_property_matches_per_table_pow_production_group(self, exponent):
+        group = RFC3526_GROUP_2048
+        tables = [fixed_base(group.p, group.q, b) for b in (group.g, 9)]
+        factors = [group.p - 1, 12345]
+        expected = [f * t.pow(exponent) % group.p for f, t in zip(factors, tables)]
+        assert pow_many(tables, exponent, factors) == expected
+
+    def test_factors_default_to_one(self):
+        group = TEST_GROUP
+        tables = [fixed_base(group.p, group.q, b) for b in (group.g, 9, 25)]
+        assert pow_many(tables, 987654321) == [t.pow(987654321) for t in tables]
+
+    def test_no_tables(self):
+        assert pow_many([], 5) == []
+
+    def test_mismatched_windows_rejected(self):
+        group = TEST_GROUP
+        narrow = FixedBaseTable(group.p, group.q, group.g, window=4)
+        wide = FixedBaseTable(group.p, group.q, group.g, window=8)
+        with pytest.raises(ValueError):
+            pow_many([narrow, wide], 7)
+
+    def test_factor_count_must_match(self):
+        table = fixed_base(TEST_GROUP.p, TEST_GROUP.q, TEST_GROUP.g)
+        with pytest.raises(ValueError):
+            pow_many([table, table], 7, [1])
+
+    def test_counts_one_pow_per_base(self):
+        pows = _FakeCounter()
+        fastexp.bind_instruments(pows=pows)
+        try:
+            group = TEST_GROUP
+            tables = [fixed_base(group.p, group.q, b) for b in (group.g, 9, 25)]
+            pow_many(tables, 11, [2, 3, 4])
+            assert pows.count == 3
+            pow_many(tables[:1], 0)
+            assert pows.count == 4
+        finally:
+            fastexp.bind_instruments()
 
 
 class TestBatchInvert:

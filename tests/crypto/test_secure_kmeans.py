@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from repro.crypto import secure_kmeans
 from repro.crypto.secure_kmeans import (
     KMeansAggregator,
     KMeansCoordinator,
@@ -124,11 +125,11 @@ class TestPrivacyBoundaries:
             "a", client.encrypt_profile(coordinator.scheme, coordinator.public_keys, rng)
         )
         coordinator.set_centroids([[1, 2, 3]])
-        masked, nu = aggregator._mask(aggregator._ciphertexts["a"])
-        gammas = coordinator.distance_elements_batch([(0, masked.alpha, masked.betas)])
+        masked_batch, g_nus = aggregator.mask_all()
+        gammas = coordinator.distance_elements_batch(masked_batch)
         # distance is 0, so unmasked element would be identity; masked is not
         assert gammas[0][0] != 1
-        unmasked = TEST_GROUP.div(gammas[0][0], TEST_GROUP.gexp(nu))
+        unmasked = TEST_GROUP.div(gammas[0][0], g_nus[0])
         assert unmasked == 1  # g^{d²} with d² = 0
 
     def test_aggregator_learns_correct_mapping(self):
@@ -139,7 +140,9 @@ class TestPrivacyBoundaries:
         )
         assert set(result.assignments) == set(points)
 
-    def test_multiworker_matches_single(self):
+    def test_multiworker_matches_single(self, monkeypatch):
+        # this round is far below the break-even size; force the pool
+        monkeypatch.setattr(secure_kmeans, "PARALLEL_MIN_WORK", 0)
         points, anchors = clustered_points(n_per_cluster=4, seed=9)
         single = run_secure_kmeans(
             points, k=3, value_bound=10, rng=random.Random(7),
